@@ -11,6 +11,7 @@ Picard iteration with a dense direct solve as cross-check.
 from .errors import (
     DimensionMismatchError,
     GroupMismatchError,
+    NonFiniteInputError,
     NotAContractionError,
     SingularSystemError,
 )
@@ -56,13 +57,14 @@ from .transformers import (
     resolvent,
     resolvent_apply,
 )
-from .weyl import WeylSystem, weyl_operator, weyl_stack
+from .weyl import WeylSystem, weyl_stack
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DimensionMismatchError",
     "GroupMismatchError",
+    "NonFiniteInputError",
     "NotAContractionError",
     "SingularSystemError",
     "PROPERTY_NAMES",
@@ -108,7 +110,6 @@ __all__ = [
     "resolvent",
     "resolvent_apply",
     "WeylSystem",
-    "weyl_operator",
     "weyl_stack",
     "__version__",
 ]

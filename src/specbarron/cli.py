@@ -305,19 +305,19 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _parse_factors(tag: str) -> tuple[int, ...]:
+def _parse_group(tag: str) -> Group:
     try:
-        return tuple(int(part) for part in tag.split("x"))
+        factors = tuple(int(part) for part in tag.split("x"))
     except ValueError:
         raise CLIError(f"bad group size {tag!r}; use an integer like 4 or a product like 2x3") from None
+    try:
+        return make_group(factors)
+    except ValueError as exc:
+        raise CLIError(str(exc)) from exc
 
 
 def _cmd_verify(args) -> int:
-    factors = _parse_factors(args.n)
-    try:
-        group = make_group(factors)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from exc
+    group = _parse_group(args.n)
     system = WeylSystem(group)
     gamma = _resolve_gamma(args.gamma, group)
     if args.trials < 1:
@@ -328,33 +328,26 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = []
-    for token in args.n_list.split(","):
-        token = token.strip()
-        if not token.isdigit():
-            raise CLIError(
-                f"bench size {token!r} is not a single cyclic factor; "
-                "the fast transform requires one cyclic factor"
-            )
-        sizes.append(int(token))
+    tags = [token.strip() for token in args.n_list.split(",")]
+    groups = [_parse_group(tag) for tag in tags]
     if args.reps < 1:
         raise CLIError(f"--reps must be >= 1, got {args.reps}")
 
     lines = ["n,naive_ms,fast_ms,speedup"]
-    for n in sizes:
-        t = random_operator(RandomSpec(seed=args.seed + n, factors=(n,)))
-        system = WeylSystem(Group((n,)))
+    for tag, group in zip(tags, groups):
+        t = random_operator(RandomSpec(seed=args.seed + group.dim_h, factors=group.factors))
+        system = WeylSystem(group)
         fast = qft_fast(system, t)
         naive = qft_naive(system, t)
         deviation = float(np.max(np.abs(fast.values - naive.values)))
         if deviation > 1e-10:
             raise CLIError(
-                f"fast/naive transforms disagree at n={n}: max deviation {deviation:.3e}",
+                f"fast/naive transforms disagree at n={tag}: max deviation {deviation:.3e}",
                 EXIT_NUMERIC,
             )
         naive_ms = _best_ms(lambda: qft_naive(system, t), args.reps)
         fast_ms = _best_ms(lambda: qft_fast(system, t), args.reps)
-        lines.append(f"{n},{naive_ms:.3f},{fast_ms:.3f},{naive_ms / fast_ms:.2f}")
+        lines.append(f"{tag},{naive_ms:.3f},{fast_ms:.3f},{naive_ms / fast_ms:.2f}")
     print("\n".join(lines))
     return EXIT_OK
 
@@ -374,18 +367,12 @@ def _best_ms(fn, reps: int) -> float:
 def build_parser() -> _Parser:
     parser = _Parser(prog="specbarron", description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1, help="seed for anything randomized")
-    parser.add_argument(
-        "--threads", type=int, default=1,
-        help="reserved; kernels are vectorized and run one thread per command",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("qft", help="transform an operator file (or invert a phase file)")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--fast", action="store_true", default=True)
-    mode.add_argument("--naive", action="store_true")
+    p.add_argument("--naive", action="store_true", help="use the reference transform")
     p.add_argument("--inverse", action="store_true", help="input is a phase-function file")
     p.set_defaults(func=_cmd_qft)
 
@@ -413,7 +400,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bench", help="time naive vs fast transforms, CSV to stdout")
-    p.add_argument("--n-list", default="16,32,64", help="comma-separated single-factor sizes")
+    p.add_argument("--n-list", default="16,32,64", help="comma-separated group sizes like 16 or 4x8")
     p.add_argument("--reps", type=int, default=3)
     p.set_defaults(func=_cmd_bench)
 
@@ -425,11 +412,6 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse help exits 0, usage errors exit 1
         return int(exc.code or 0)
-    if args.threads < 1:
-        print("specbarron: error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.threads > 1:
-        print("specbarron: note: kernels are single-threaded; --threads ignored", file=sys.stderr)
     try:
         return args.func(args)
     except CLIError as exc:

@@ -9,6 +9,10 @@ class GroupMismatchError(ValueError):
     """Values built over different groups were combined."""
 
 
+class NonFiniteInputError(ValueError):
+    """An input array holds NaN or infinite entries."""
+
+
 class NotAContractionError(ValueError):
     """The potential lies outside the open B0 unit ball."""
 

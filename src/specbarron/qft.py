@@ -18,11 +18,12 @@ with m the multiplier of the Weyl system.  The argument order of m in the
 kernel is pinned by the composition identity above and by a calibration
 test; do not change one without the other.
 
-``qft_naive`` evaluates the defining traces at O(N^2) per point and is the
-reference implementation.  ``qft_fast`` computes the same values for a
-single cyclic factor by gathering the generalized diagonals
-d_a(i) = T[(i+a) mod n, i] and running one length-n FFT per offset
-(F(T)(a, b) = sum_i d_a(i) omega^{-b i}), at O(N^2 log N) total.
+``qft_fast`` (which ``qft`` calls) covers every group Z_n1 x ... x Z_nk at
+O(N^2 log N): it gathers the generalized diagonals
+d_a(i) = T[ravel((i+a) mod n), ravel(i)] through one cached index table and
+runs an FFT over the k factor axes, F(T)(a, b) = sum_i d_a(i) prod_c
+omega_c^{-b_c i_c}.  ``iqft`` is the inverse FFT followed by one scatter.
+``qft_naive`` is the FFT-free reference.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, GroupMismatchError
 from .phase_space import Group, difference_table, point_arrays
-from .weyl import STACK_LIMIT, WeylSystem, weyl_stack
+from .weyl import STACK_LIMIT, WeylSystem, _cyclic_block
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,11 +59,11 @@ class PhaseFunction:
         object.__setattr__(self, "values", values)
 
 
-def _check_operator(group: Group, t: np.ndarray) -> np.ndarray:
+def _check_operator(group: Group, t: np.ndarray, name: str = "t") -> np.ndarray:
     t = np.asarray(t, dtype=complex)
     n = group.dim_h
     if t.shape != (n, n):
-        raise DimensionMismatchError(f"expected a {n}x{n} operator, got shape {t.shape}")
+        raise DimensionMismatchError(f"{name}: expected a {n}x{n} operator, got shape {t.shape}")
     return t
 
 
@@ -73,63 +74,73 @@ def _check_same_group(group: Group, f: PhaseFunction):
         )
 
 
+@lru_cache(maxsize=None)
+def _diagonal_index(group: Group) -> np.ndarray:
+    """Flat indices D[a, i] = ravel((i + a) mod n) * N + ravel(i) of d_a(i) in T."""
+    n = group.dim_h
+    comps = np.indices(group.factors).reshape(len(group.factors), n)
+    rows = np.zeros((n, n), dtype=np.intp)
+    for c, order in zip(comps, group.factors):
+        rows = rows * order + (c[:, None] + c[None, :]) % order
+    table = rows * n + np.arange(n)
+    table.flags.writeable = False
+    return table
+
+
 def qft_naive(system: WeylSystem, t: np.ndarray) -> PhaseFunction:
-    """Transform by direct evaluation of tr(T U_xi*) at every point."""
+    """Reference transform: the traces tr(T U_xi*), with no FFT and no index table.
+
+    U_(a,b) is a tensor product of blocks X^{a_c} Z^{b_c}, so the trace is one
+    contraction per cyclic factor: T's row and column index of that factor
+    against the explicit blocks conj(X^a Z^b), one shift a at a time.  Time
+    O(N^2 (n1^2 + ... + nk^2)); no array exceeds max(N^2, n^3) entries.
+    """
     group = system.group
     t = _check_operator(group, t)
-    if group.dim_h <= STACK_LIMIT:
-        values = np.einsum("ij,kij->k", t, weyl_stack(system).conj())
-    else:
-        values = np.empty(group.phase_card, dtype=complex)
-        for i, p in enumerate(group.points()):
-            adjoint = system.operator(p).conj().T
-            values[i] = np.einsum("ij,ji->", t, adjoint)
+    k = len(group.factors)
+    # Axes: rows of the factors still to contract, their columns, then one
+    # (a, b) pair per contracted factor.
+    x = t.reshape(group.factors * 2)
+    for done, n in enumerate(group.factors):
+        x = np.moveaxis(x, k - done, 1)
+        rest = x.shape[2:]
+        x = x.reshape(n * n, -1)
+        # conj(X^a Z^b) = X^a Z^-b, stacked over b
+        conj_mods = -np.arange(n)
+        out = np.stack([
+            _cyclic_block(n, a, conj_mods).reshape(n, n * n) @ x for a in range(n)
+        ])
+        x = np.moveaxis(out.reshape((n, n) + rest), (0, 1), (-2, -1))
+    values = x.transpose(list(range(0, 2 * k, 2)) + list(range(1, 2 * k, 2)))
     return PhaseFunction(group, values)
 
 
 def qft_fast(system: WeylSystem, t: np.ndarray) -> PhaseFunction:
-    """FFT-based transform for a single cyclic factor.
-
-    Falls back to :func:`qft_naive` for multi-factor groups.
-    """
+    """FFT transform: gather the diagonals d_a, FFT each over the factor axes."""
     group = system.group
     t = _check_operator(group, t)
-    if len(group.factors) != 1:
-        return qft_naive(system, t)
-    n = group.dim_h
-    col = np.arange(n)
-    rows = (col[None, :] + col[:, None]) % n        # rows[a, i] = (i + a) mod n
-    diags = t[rows, col[None, :]]                   # diags[a, i] = T[(i+a)%n, i]
-    values = np.fft.fft(diags, axis=1).reshape(-1)
-    return PhaseFunction(group, values)
+    diags = np.take(t, _diagonal_index(group)).reshape((group.dim_h,) + group.factors)
+    for axis in range(1, diags.ndim):
+        diags = np.fft.fft(diags, axis=axis)
+    return PhaseFunction(group, diags)
 
 
 def qft(system: WeylSystem, t: np.ndarray) -> PhaseFunction:
-    """Default transform: fast path when available, else the direct one."""
-    if len(system.group.factors) == 1:
-        return qft_fast(system, t)
-    return qft_naive(system, t)
+    """Default transform; the same as :func:`qft_fast`."""
+    return qft_fast(system, t)
 
 
 def iqft(system: WeylSystem, f: PhaseFunction) -> np.ndarray:
-    """Inverse transform (1/N) sum_xi f(xi) U_xi."""
+    """Inverse transform (1/N) sum_xi f(xi) U_xi: inverse FFT, then scatter d_a."""
     group = system.group
     _check_same_group(group, f)
     n = group.dim_h
-    if len(group.factors) == 1:
-        # T[(i+a)%n, i] = (1/n) sum_b f(a, b) omega^{b i}, one inverse FFT per offset
-        rowsum = np.fft.ifft(f.values.reshape(n, n), axis=1)
-        col = np.arange(n)
-        rows = (col[None, :] + col[:, None]) % n
-        t = np.zeros((n, n), dtype=complex)
-        t[rows, col[None, :]] = rowsum
-        return t
-    if n <= STACK_LIMIT:
-        return group.haar_weight * np.einsum("k,kij->ij", f.values, weyl_stack(system))
-    t = np.zeros((n, n), dtype=complex)
-    for i, p in enumerate(group.points()):
-        t += f.values[i] * system.operator(p)
-    return group.haar_weight * t
+    diags = f.values.reshape((n,) + group.factors)
+    for axis in range(1, diags.ndim):
+        diags = np.fft.ifft(diags, axis=axis)
+    t = np.empty(n * n, dtype=complex)
+    t[_diagonal_index(group)] = diags.reshape(n, n)
+    return t.reshape(n, n)
 
 
 @lru_cache(maxsize=8)

@@ -27,7 +27,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotAContractionError, SingularSystemError
+from .errors import NonFiniteInputError, NotAContractionError, SingularSystemError
+from .phase_space import Group
+from .qft import _check_operator
 from .spaces import WeightFunction, barron_norm, operator_norm
 from .transformers import apply, q_power, resolvent
 from .weyl import STACK_LIMIT, WeylSystem, weyl_stack
@@ -85,9 +87,12 @@ def solve_fixed_point(
     does not reach the tolerance within max_iterations, the partial result
     is returned with ``converged`` unset.
     """
-    n = system.group.dim_h
-    v = np.asarray(v, dtype=complex)
-    t = np.asarray(t, dtype=complex)
+    group = system.group
+    v = _check_input(group, "v", v)
+    t = _check_input(group, "t", t)
+    current = np.zeros((group.dim_h, group.dim_h), dtype=complex)
+    if config.initial_guess is not None:
+        current = _check_input(group, "initial_guess", config.initial_guess)
     q = contraction_factor(system, v, gamma)
     if q >= 1.0:
         raise NotAContractionError(
@@ -95,10 +100,6 @@ def solve_fixed_point(
         )
     q_inv = resolvent(gamma, 1.0)
     shrink = q / (1.0 - q)
-
-    current = np.zeros((n, n), dtype=complex)
-    if config.initial_guess is not None:
-        current = np.array(config.initial_guess, dtype=complex)
 
     history: list[IterationRecord] = []
     converged = False
@@ -155,9 +156,10 @@ def solve_direct(
     assembled system cannot be solved to a B^0 residual of 1e-8 relative
     to ||T||_{B^0}.
     """
-    n = system.group.dim_h
-    v = np.asarray(v, dtype=complex)
-    t = _as_square(t, n)
+    group = system.group
+    n = group.dim_h
+    v = _check_input(group, "v", v)
+    t = _check_input(group, "t", t)
     mat = equation_matrix(system, v, gamma)
     try:
         flat = np.linalg.solve(mat, t.reshape(-1))
@@ -177,8 +179,9 @@ def solve_direct(
     return solution
 
 
-def _as_square(t: np.ndarray, n: int) -> np.ndarray:
-    t = np.asarray(t, dtype=complex)
-    if t.shape != (n, n):
-        raise ValueError(f"expected a {n}x{n} operator, got shape {t.shape}")
-    return t
+def _check_input(group: Group, name: str, arr: np.ndarray) -> np.ndarray:
+    """Shape and finiteness check of a solver argument, once per solve."""
+    arr = _check_operator(group, arr, name)
+    if not np.isfinite(arr).all():
+        raise NonFiniteInputError(f"{name} has non-finite entries")
+    return arr

@@ -75,17 +75,13 @@ class WeylSystem:
         return self.multiplier(lam, self.group.neg(lam)).conjugate()
 
 
-def weyl_operator(system: WeylSystem, lam: PhasePoint) -> np.ndarray:
-    return system.operator(lam)
-
-
-def _cyclic_block(n: int, a: int, b: int) -> np.ndarray:
-    """X^a Z^b on a single cyclic factor of order n."""
+def _cyclic_block(n: int, a: int, b) -> np.ndarray:
+    """X^a Z^b on a single cyclic factor of order n; an array b gives a stack."""
     a %= n
-    b %= n
+    b = np.asarray(b) % n
     col = np.arange(n)
-    block = np.zeros((n, n), dtype=complex)
-    block[(col + a) % n, col] = np.exp(2j * np.pi * ((b * col) % n) / n)
+    block = np.zeros(b.shape + (n, n), dtype=complex)
+    block[..., (col + a) % n, col] = np.exp(2j * np.pi * ((b[..., None] * col) % n) / n)
     return block
 
 

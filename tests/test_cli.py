@@ -83,7 +83,7 @@ def test_qft_fast_and_naive_flags_agree(run, tmp_path):
     op_path = _write_operator(tmp_path, "op.json", [3], t)
     fast_path = str(tmp_path / "fast.json")
     naive_path = str(tmp_path / "naive.json")
-    assert run(["qft", "--input", op_path, "--output", fast_path, "--fast"])[0] == 0
+    assert run(["qft", "--input", op_path, "--output", fast_path])[0] == 0
     assert run(["qft", "--input", op_path, "--output", naive_path, "--naive"])[0] == 0
     fast = cli.read_phase_function_file(fast_path)
     naive = cli.read_phase_function_file(naive_path)
@@ -224,10 +224,17 @@ def test_bench_command_csv(run):
         assert float(naive_ms) > 0 and float(fast_ms) > 0 and float(speedup) > 0
 
 
-def test_bench_refuses_multi_factor_sizes(run):
-    code, _, err = run(["bench", "--n-list", "2x3", "--reps", "1"])
+def test_bench_accepts_multi_factor_sizes(run):
+    code, out, _ = run(["bench", "--n-list", "2x3,8", "--reps", "1"])
+    assert code == 0
+    rows = [line.split(",")[0] for line in out.strip().splitlines()[1:]]
+    assert rows == ["2x3", "8"]
+
+
+def test_bench_rejects_bad_sizes(run):
+    code, _, err = run(["bench", "--n-list", "2x1", "--reps", "1"])
     assert code == 1
-    assert "single cyclic factor" in err
+    assert ">= 2" in err
 
 
 def test_malformed_operator_file_names_field(run, tmp_path):

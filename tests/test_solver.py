@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from specbarron import (
+    DimensionMismatchError,
+    NonFiniteInputError,
     NotAContractionError,
     SingularSystemError,
     SolveConfig,
@@ -185,3 +187,28 @@ def test_residual_is_step_in_b2(system4):
     tol = 1e-10
     result = solve_fixed_point(system4, v, t, gamma, SolveConfig(tolerance=tol))
     assert result.residual_b0 <= tol * (1 - result.q) * (1 + 1e-6)
+
+
+@pytest.mark.parametrize("solve", [solve_fixed_point, solve_direct])
+def test_non_finite_potential_fails_at_entry(system4, solve):
+    """A NaN in V must fail at entry, not make q NaN and iterate to the limit."""
+    gamma = gamma_euclid(system4.group)
+    v = gaussian([4], seed=90, target=0.5)
+    v[1, 2] = np.nan
+    with pytest.raises(NonFiniteInputError, match="^v "):
+        solve(system4, v, gaussian([4], seed=91), gamma)
+
+
+def test_initial_guess_shape_is_checked(system4):
+    """A length-4 initial guess must not be broadcast to 4 x 4."""
+    gamma = gamma_euclid(system4.group)
+    v = gaussian([4], seed=92, target=0.5)
+    t = gaussian([4], seed=93)
+    with pytest.raises(DimensionMismatchError, match="initial_guess"):
+        solve_fixed_point(system4, v, t, gamma, SolveConfig(initial_guess=np.ones(4)))
+
+
+def test_direct_rejects_wrong_target_shape(system4):
+    gamma = gamma_euclid(system4.group)
+    with pytest.raises(DimensionMismatchError, match="^t: "):
+        solve_direct(system4, np.zeros((4, 4)), np.eye(3), gamma)
