@@ -33,6 +33,7 @@ from .phase_space import Group
 from .qft import PhaseFunction, iqft, qft, twisted_convolution
 from .solver import SolveConfig, solve_direct, solve_fixed_point
 from .spaces import (
+    PEETRE_SCAN_LIMIT,
     WeightFunction,
     barron_norm,
     operator_norm,
@@ -91,13 +92,26 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0 ** -53
 
     def normals(self, count: int) -> np.ndarray:
-        """Standard real normals via Box-Muller."""
+        """Standard real normals via Box-Muller.
+
+        The integer stream is vectorised (uint64 arithmetic wraps mod 2^64,
+        as the scalar update does); the transcendentals stay scalar ``math``
+        calls, so the variates are bit-identical to a ``next_float`` loop.
+        """
+        m = count + count % 2
+        if m == 0:
+            return np.empty(0)
+        steps = np.arange(1, m + 1, dtype=np.uint64)
+        state = np.uint64(self._state) + steps * np.uint64(_GOLDEN)
+        self._state = int(state[-1])
+        z = (state ^ (state >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        uniforms = ((z >> np.uint64(11)).astype(float) * 2.0 ** -53).tolist()
         out = np.empty(count)
         for i in range(0, count, 2):
-            u1 = self.next_float()
-            u2 = self.next_float()
-            radius = math.sqrt(-2.0 * math.log(1.0 - u1))
-            angle = 2.0 * math.pi * u2
+            radius = math.sqrt(-2.0 * math.log(1.0 - uniforms[i]))
+            angle = 2.0 * math.pi * uniforms[i + 1]
             out[i] = radius * math.cos(angle)
             if i + 1 < count:
                 out[i + 1] = radius * math.sin(angle)
@@ -234,9 +248,19 @@ def run_property_suite(
     s_grid = (0.0, 0.5, 1.0, 2.0)
     worst: dict[str, float] = {name: -math.inf for name in PROPERTY_NAMES}
 
-    # Peetre scan once; it gates the submultiplicativity measurements.
-    peetre = peetre_check(gamma)
-    worst["peetre"] = peetre.constant
+    # Peetre scan once; it gates the submultiplicativity measurements.  The
+    # scan is quadratic in phase_card, so it is skipped above its limit and
+    # the gate then stays shut.
+    peetre_skipped: str | None = None
+    peetre_satisfied = False
+    if group.dim_h > PEETRE_SCAN_LIMIT:
+        peetre_skipped = (
+            f"scan of phase_card^2 pairs; dim {group.dim_h} exceeds {PEETRE_SCAN_LIMIT}"
+        )
+    else:
+        peetre = peetre_check(gamma)
+        worst["peetre"] = peetre.constant
+        peetre_satisfied = peetre.satisfied
 
     def spec(**kw) -> RandomSpec:
         return RandomSpec(seed=root.next_u64(), factors=factors, **kw)
@@ -287,7 +311,7 @@ def run_property_suite(
                 worst["interpolation"], mid / max(bound, 1e-300) - 1.0
             )
 
-        if peetre.satisfied:
+        if peetre_satisfied:
             for s in (0.0, 1.0, 2.0):
                 st = barron_norm(system, s_op @ t_op, s, gamma)
                 bound = (
@@ -355,7 +379,16 @@ def run_property_suite(
     results: dict[str, PropertyResult] = {}
     for name in PROPERTY_NAMES:
         tol = tolerances[name]
-        if name == "submultiplicativity" and not peetre.satisfied:
+        if name == "peetre" and peetre_skipped is not None:
+            results[name] = PropertyResult(
+                worst_slack=None,
+                tolerance=tol,
+                passed=True,
+                trials=0,
+                skipped=peetre_skipped,
+            )
+            continue
+        if name == "submultiplicativity" and not peetre_satisfied:
             results[name] = PropertyResult(
                 worst_slack=None,
                 tolerance=tol,

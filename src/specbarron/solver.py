@@ -18,6 +18,16 @@ S -> Q S + V S on flattened operators and solves it densely; it is the
 independent cross-check for the iteration and also covers potentials
 outside the unit ball, where contraction is not available but the linear
 system may still be regular.
+
+``equation_matrix`` builds that matrix in closed form.  U_(a,b) is nonzero
+only at the entries (c + a, c) (componentwise mod n), where it equals the
+character chi_b(c), so Q only couples (c + a, c) with (c' + a, c'), with
+the coefficient (1/N) sum_b sym(a, b) chi_b(c - c').  One explicit N x N
+character table gives all N^3 such coefficients as one matrix product,
+O(N^3), and two N x N index tables scatter them into kron(V, I).  The
+characters are plain exponentials: no FFT and nothing of ``qft``, so the
+dense solve stays independent of the transform it checks.  The O(N^6) LU
+of the O(N^4)-entry matrix dominates a direct solve.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ from .phase_space import Group
 from .qft import _check_operator
 from .spaces import WeightFunction, barron_norm, operator_norm
 from .transformers import apply, q_power, resolvent
-from .weyl import STACK_LIMIT, WeylSystem, weyl_stack
+from .weyl import WeylSystem
 
 
 @dataclass(frozen=True)
@@ -133,18 +143,33 @@ def solve_fixed_point(
 
 
 def equation_matrix(system: WeylSystem, v: np.ndarray, gamma: WeightFunction) -> np.ndarray:
-    """Dense N^2 x N^2 matrix of S -> Q S + V S on row-major flattened S."""
+    """Dense N^2 x N^2 matrix of S -> Q S + V S on row-major flattened S.
+
+    Assembled in closed form from the characters; see the module docstring.
+    """
     group = system.group
     n = group.dim_h
-    if n <= STACK_LIMIT:
-        w = weyl_stack(system).reshape(group.phase_card, n * n)
-    else:
-        w = np.stack([system.operator(p).reshape(-1) for p in group.points()])
-    # Transform as a matrix: F(S) = conj(W) vec(S); inverse is (1/N) W^T f.
-    transform = w.conj()
-    symbol = 1.0 + gamma.values ** 2
-    q_mat = group.haar_weight * (w.T * symbol[None, :]) @ transform
-    return q_mat + np.kron(np.asarray(v, dtype=complex), np.eye(n))
+    characters = np.ones((1, 1), dtype=complex)  # [b, d] -> chi_b(d)
+    for order in group.factors:
+        k = np.arange(order)
+        characters = np.kron(
+            characters, np.exp(2j * np.pi * (np.outer(k, k) % order) / order)
+        )
+    symbol = (1.0 + gamma.values ** 2).reshape(n, n)
+    blocks = group.haar_weight * symbol @ characters  # [a, c - c']
+    rows = _ravel_table(group.factors, 1) * n + np.arange(n)  # [a, c] -> (c + a, c)
+    diff = _ravel_table(group.factors, -1)  # [c, c'] -> c - c'
+    mat = np.kron(np.asarray(v, dtype=complex), np.eye(n))
+    mat[rows[:, :, None], rows[:, None, :]] += blocks[:, diff]
+    return mat
+
+
+def _ravel_table(factors: tuple[int, ...], sign: int) -> np.ndarray:
+    """Table [i, j] = ravel((x_i + sign * x_j) mod n) over the N multi-indices."""
+    comps = np.indices(factors).reshape(len(factors), -1)
+    return np.ravel_multi_index(
+        tuple(comps[:, :, None] + sign * comps[:, None, :]), factors, mode="wrap"
+    )
 
 
 def solve_direct(

@@ -76,3 +76,29 @@ def ref_barron(factors, t, s):
     return sum(
         (1.0 + g * g) ** (s / 2.0) * abs(c) for g, c in zip(gamma, coeffs)
     ) / n_dim
+
+
+def ref_normals(stream, count):
+    """Box-Muller normals from a SplitMix64 stream, one scalar draw at a time."""
+    out = np.empty(count)
+    for i in range(0, count, 2):
+        u1 = stream.next_float()
+        u2 = stream.next_float()
+        radius = math.sqrt(-2.0 * math.log(1.0 - u1))
+        angle = 2.0 * math.pi * u2
+        out[i] = radius * math.cos(angle)
+        if i + 1 < count:
+            out[i + 1] = radius * math.sin(angle)
+    return out
+
+
+def ref_equation_matrix(factors, v, symbol):
+    """(1/N) sum_xi sym(xi) vec(U_xi) vec(U_xi)^H + kron(V, I), row-major vec."""
+    n_dim = 1
+    for n in factors:
+        n_dim *= n
+    mat = np.kron(np.asarray(v, dtype=complex), np.eye(n_dim))
+    for (a, b), sym in zip(ref_points(factors), symbol):
+        u = ref_weyl(factors, a, b).reshape(-1)
+        mat += sym * np.outer(u, u.conj()) / n_dim
+    return mat

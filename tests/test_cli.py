@@ -213,6 +213,16 @@ def test_verify_command_multi_factor_size(run):
     assert json.loads(out)["factors"] == [2, 3]
 
 
+def test_verify_above_peetre_scan_limit_skips_peetre(run):
+    code, out, _ = run(["verify", "--n", "33", "--trials", "1"])
+    assert code == 0
+    props = json.loads(out)["properties"]
+    assert props["peetre"]["skipped"] == "scan of phase_card^2 pairs; dim 33 exceeds 32"
+    assert props["peetre"]["pass"] is True
+    assert props["peetre"]["trials"] == 0
+    assert props["submultiplicativity"]["skipped"] == "peetre gate"
+
+
 def test_bench_command_csv(run):
     code, out, _ = run(["bench", "--n-list", "8,16", "--reps", "2"])
     assert code == 0

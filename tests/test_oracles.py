@@ -16,6 +16,8 @@ from specbarron import (
     run_property_suite,
 )
 
+from .reference import ref_normals
+
 
 def test_splitmix_known_stream():
     # first outputs for seed 0 of the standard splitmix64 constants
@@ -23,6 +25,21 @@ def test_splitmix_known_stream():
     assert stream.next_u64() == 0xE220A8397B1DCDAF
     assert stream.next_u64() == 0x6E789E6AA1B965F4
     assert stream.next_u64() == 0x06C45D188009454F
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 2048])
+def test_normals_match_scalar_reference(count):
+    assert np.array_equal(SplitMix64(99).normals(count), ref_normals(SplitMix64(99), count))
+
+
+def test_stream_continues_after_normals():
+    """normals(7) consumes eight draws; the next integer is the ninth."""
+    stream = SplitMix64(5)
+    stream.normals(7)
+    reference = SplitMix64(5)
+    for _ in range(8):
+        reference.next_u64()
+    assert stream.next_u64() == reference.next_u64()
 
 
 def test_floats_are_in_unit_interval():

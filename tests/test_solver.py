@@ -23,6 +23,7 @@ from specbarron import (
 )
 
 from .conftest import gaussian, max_abs
+from .reference import ref_equation_matrix
 
 
 def _setup(factors):
@@ -147,6 +148,28 @@ def test_direct_handles_noncontractive_potential(system4):
         solve_fixed_point(system4, v, t, gamma)
     solution = solve_direct(system4, v, t, gamma)
     assert _residual_b0(system4, gamma, v, t, solution) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "factors", [(2,), (3,), (2, 3), (2, 2, 2), (4, 4)], ids=lambda f: "x".join(map(str, f))
+)
+def test_equation_matrix_matches_reference(factors):
+    system, gamma = _setup(factors)
+    v = gaussian(factors, seed=94)
+    expected = ref_equation_matrix(factors, v, 1.0 + gamma.values ** 2)
+    assert max_abs(equation_matrix(system, v, gamma) - expected) <= 1e-12
+
+
+def test_direct_above_dimension_32():
+    """Dimension 33 is above STACK_LIMIT, the largest cached Weyl stack."""
+    system, gamma = _setup([33])
+    v = gaussian([33], seed=95, target=0.5)
+    t = gaussian([33], seed=96, target=1.0)
+    direct = solve_direct(system, v, t, gamma)
+    assert _residual_b0(system, gamma, v, t, direct) <= 1e-8
+    fixed = solve_fixed_point(system, v, t, gamma, SolveConfig(tolerance=1e-10))
+    assert fixed.converged
+    assert barron_norm(system, fixed.solution - direct, 0.0, gamma) <= 1e-8
 
 
 def test_direct_reports_singular_systems(system2):
