@@ -168,13 +168,32 @@ def difference_table(group: Group) -> np.ndarray:
 
     Quadratic in phase_card; intended for groups with dim_h <= 32.
     """
-    a, b = point_arrays(group)
-    factors = np.array(group.factors)
-    weights = np.ones(len(factors), dtype=np.int64)
-    for c in range(len(factors) - 2, -1, -1):
-        weights[c] = weights[c + 1] * factors[c + 1]
-    a_diff = (a[:, None, :] - a[None, :, :]) % factors
-    b_diff = (b[:, None, :] - b[None, :, :]) % factors
-    table = (a_diff @ weights) * group.dim_h + (b_diff @ weights)
+    table = ravel_table(group.factors * 2, -1)
     table.flags.writeable = False
     return table
+
+
+def ravel_table(factors: tuple[int, ...], sign: int) -> np.ndarray:
+    """Table [i, j] = ravel((x_i + sign * x_j) mod n) over the multi-indices x.
+
+    The multi-indices of ``factors`` are taken in row-major order, the
+    order of ``index_of`` when ``factors`` is the group's factors twice.
+    """
+    comps = np.indices(factors).reshape(len(factors), -1)
+    return np.ravel_multi_index(
+        tuple(comps[:, :, None] + sign * comps[:, None, :]), factors, mode="wrap"
+    )
+
+
+def character_table(factors: tuple[int, ...]) -> np.ndarray:
+    """Table [b, d] = chi_b(d) = prod_c exp(2 pi i b_c d_c / n_c), row-major b, d.
+
+    Explicit exponentials, one Kronecker factor per cyclic factor; no FFT.
+    """
+    characters = np.ones((1, 1), dtype=complex)
+    for order in factors:
+        k = np.arange(order)
+        characters = np.kron(
+            characters, np.exp(2j * np.pi * (np.outer(k, k) % order) / order)
+        )
+    return characters

@@ -9,14 +9,18 @@ domain the inversion formula reads
 
     T = (1/N) sum_xi F(T)(xi) U_xi .
 
-Operator composition becomes twisted convolution,
+Twisted convolution is defined by the kernel sum
 
-    F(S T) = F(S) *_m F(T),
     (f *_m g)(xi) = (1/N) sum_eta f(xi - eta) g(eta) m(xi - eta, eta),
 
-with m the multiplier of the Weyl system.  The argument order of m in the
-kernel is pinned by the composition identity above and by a calibration
-test; do not change one without the other.
+with m the multiplier of the Weyl system, and operator composition becomes
+twisted convolution, F(S T) = F(S) *_m F(T).  The argument order of m in
+the kernel is pinned by that identity and by a calibration test; do not
+change one without the other.  Every phase function is the transform of
+exactly one operator, so ``twisted_convolution`` runs the identity
+backwards, f *_m g = F(iqft(f) @ iqft(g)), at O(N^3 + N^2 log N) for every
+group.  The kernel sum itself is kept only as the test oracle
+``oracles.convolution_sum``, which no library path calls.
 
 ``qft_fast`` (which ``qft`` calls) covers every group Z_n1 x ... x Z_nk at
 O(N^2 log N): it gathers the generalized diagonals
@@ -34,8 +38,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatchError, GroupMismatchError
-from .phase_space import Group, difference_table, point_arrays
-from .weyl import STACK_LIMIT, WeylSystem, _cyclic_block
+from .phase_space import Group, ravel_table
+from .weyl import WeylSystem, _cyclic_block
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,12 +81,7 @@ def _check_same_group(group: Group, f: PhaseFunction):
 @lru_cache(maxsize=None)
 def _diagonal_index(group: Group) -> np.ndarray:
     """Flat indices D[a, i] = ravel((i + a) mod n) * N + ravel(i) of d_a(i) in T."""
-    n = group.dim_h
-    comps = np.indices(group.factors).reshape(len(group.factors), n)
-    rows = np.zeros((n, n), dtype=np.intp)
-    for c, order in zip(comps, group.factors):
-        rows = rows * order + (c[:, None] + c[None, :]) % order
-    table = rows * n + np.arange(n)
+    table = ravel_table(group.factors, 1) * group.dim_h + np.arange(group.dim_h)
     table.flags.writeable = False
     return table
 
@@ -143,42 +142,9 @@ def iqft(system: WeylSystem, f: PhaseFunction) -> np.ndarray:
     return t.reshape(n, n)
 
 
-@lru_cache(maxsize=8)
-def _twist_kernel(system: WeylSystem) -> np.ndarray:
-    """Kernel K[i, j] = m(point_i - point_j, point_j) for the convolution."""
-    group = system.group
-    a, b = point_arrays(group)
-    diff = difference_table(group)
-    turns = np.zeros(diff.shape)
-    for c, n in enumerate(group.factors):
-        turns += ((b[diff][:, :, c] * a[None, :, c]) % n) / n
-    kernel = np.exp(2j * np.pi * (turns % 1.0))
-    kernel.flags.writeable = False
-    return kernel
-
-
 def twisted_convolution(system: WeylSystem, f: PhaseFunction, g: PhaseFunction) -> PhaseFunction:
-    """(f *_m g)(xi) = (1/N) sum_eta f(xi - eta) g(eta) m(xi - eta, eta)."""
-    group = system.group
-    _check_same_group(group, f)
-    _check_same_group(group, g)
-    if group.dim_h <= STACK_LIMIT:
-        diff = difference_table(group)
-        kernel = _twist_kernel(system)
-        out = group.haar_weight * ((f.values[diff] * kernel) @ g.values)
-        return PhaseFunction(group, out)
-    # Row-at-a-time fallback: same sums without the quadratic tables.
-    a, b = point_arrays(group)
-    factors = np.array(group.factors)
-    weights = np.ones(len(factors), dtype=np.int64)
-    for c in range(len(factors) - 2, -1, -1):
-        weights[c] = weights[c + 1] * factors[c + 1]
-    out = np.empty(group.phase_card, dtype=complex)
-    for i in range(group.phase_card):
-        a_diff = (a[i] - a) % factors
-        b_diff = (b[i] - b) % factors
-        idx = (a_diff @ weights) * group.dim_h + (b_diff @ weights)
-        turns = ((b_diff * a) % factors) / factors
-        kernel = np.exp(2j * np.pi * (turns.sum(axis=1) % 1.0))
-        out[i] = group.haar_weight * np.sum(f.values[idx] * kernel * g.values)
-    return PhaseFunction(group, out)
+    """(f *_m g)(xi) = (1/N) sum_eta f(xi - eta) g(eta) m(xi - eta, eta).
+
+    Computed as F(iqft(f) @ iqft(g)); see the module docstring.
+    """
+    return qft_fast(system, iqft(system, f) @ iqft(system, g))

@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonFiniteInputError, NotAContractionError, SingularSystemError
-from .phase_space import Group
+from .phase_space import Group, character_table, ravel_table
 from .qft import _check_operator
 from .spaces import WeightFunction, barron_norm, operator_norm
 from .transformers import apply, q_power, resolvent
@@ -149,27 +149,14 @@ def equation_matrix(system: WeylSystem, v: np.ndarray, gamma: WeightFunction) ->
     """
     group = system.group
     n = group.dim_h
-    characters = np.ones((1, 1), dtype=complex)  # [b, d] -> chi_b(d)
-    for order in group.factors:
-        k = np.arange(order)
-        characters = np.kron(
-            characters, np.exp(2j * np.pi * (np.outer(k, k) % order) / order)
-        )
+    characters = character_table(group.factors)  # [b, d] -> chi_b(d)
     symbol = (1.0 + gamma.values ** 2).reshape(n, n)
     blocks = group.haar_weight * symbol @ characters  # [a, c - c']
-    rows = _ravel_table(group.factors, 1) * n + np.arange(n)  # [a, c] -> (c + a, c)
-    diff = _ravel_table(group.factors, -1)  # [c, c'] -> c - c'
+    rows = ravel_table(group.factors, 1) * n + np.arange(n)  # [a, c] -> (c + a, c)
+    diff = ravel_table(group.factors, -1)  # [c, c'] -> c - c'
     mat = np.kron(np.asarray(v, dtype=complex), np.eye(n))
     mat[rows[:, :, None], rows[:, None, :]] += blocks[:, diff]
     return mat
-
-
-def _ravel_table(factors: tuple[int, ...], sign: int) -> np.ndarray:
-    """Table [i, j] = ravel((x_i + sign * x_j) mod n) over the N multi-indices."""
-    comps = np.indices(factors).reshape(len(factors), -1)
-    return np.ravel_multi_index(
-        tuple(comps[:, :, None] + sign * comps[:, None, :]), factors, mode="wrap"
-    )
 
 
 def solve_direct(

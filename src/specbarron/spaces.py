@@ -19,7 +19,7 @@ tolerances stay honest at larger dimensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import fsum
 
 import numpy as np
@@ -42,7 +42,6 @@ class WeightFunction:
 
     group: Group
     values: np.ndarray
-    peetre_constant: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float).reshape(-1)
@@ -157,5 +156,4 @@ def peetre_check(gamma: WeightFunction, force: bool = False) -> PeetreCheck:
     diff = difference_table(group)
     ratios = w[:, None] / (w[diff] * w[None, :])
     constant = float(ratios.max())
-    object.__setattr__(gamma, "peetre_constant", constant)
     return PeetreCheck(constant=constant, satisfied=constant <= 2.0)

@@ -102,3 +102,24 @@ def ref_equation_matrix(factors, v, symbol):
         u = ref_weyl(factors, a, b).reshape(-1)
         mat += sym * np.outer(u, u.conj()) / n_dim
     return mat
+
+
+def ref_twisted_convolution(factors, f, g):
+    """(1/N) sum_eta f(xi - eta) g(eta) m(xi - eta, eta) by a double loop over points.
+
+    m((a, b), (c, d)) = prod_i exp(2 pi i b_i c_i / n_i), one root of unity at
+    a time; f and g are value arrays in enumeration order.
+    """
+    points = list(ref_points(factors))
+    index = {p: k for k, p in enumerate(points)}
+    n_dim = len(points) ** 0.5
+    out = np.zeros(len(points), dtype=complex)
+    for i, (a, b) in enumerate(points):
+        for j, (c, d) in enumerate(points):
+            a_diff = tuple((x - y) % n for x, y, n in zip(a, c, factors))
+            b_diff = tuple((x - y) % n for x, y, n in zip(b, d, factors))
+            twist = 1.0 + 0.0j
+            for bi, ci, n in zip(b_diff, c, factors):
+                twist *= np.exp(2j * np.pi * ((bi * ci) % n) / n)
+            out[i] += f[index[(a_diff, b_diff)]] * g[j] * twist
+    return out / n_dim

@@ -62,7 +62,7 @@ def test_qft_command_identity(run, identity_file, tmp_path):
     out_path = str(tmp_path / "phase.json")
     code, _, _ = run(["qft", "--input", identity_file, "--output", out_path])
     assert code == 0
-    doc = json.load(open(out_path))
+    doc = json.loads((tmp_path / "phase.json").read_text())
     assert doc["values_re"] == [2.0, 0.0, 0.0, 0.0]
     assert doc["index_order"] == "a-outer-b-inner"
 

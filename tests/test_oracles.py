@@ -5,6 +5,8 @@ import pytest
 
 from specbarron import (
     PROPERTY_NAMES,
+    GroupMismatchError,
+    PhaseFunction,
     RandomSpec,
     SplitMix64,
     WeightFunction,
@@ -12,11 +14,14 @@ from specbarron import (
     b0_norm,
     gamma_euclid,
     make_group,
+    qft,
     random_operator,
     run_property_suite,
 )
+from specbarron.oracles import convolution_sum
 
-from .reference import ref_normals
+from .conftest import gaussian, max_abs
+from .reference import ref_normals, ref_twisted_convolution
 
 
 def test_splitmix_known_stream():
@@ -88,6 +93,33 @@ def test_unitary_draw_is_unitary():
 def test_unknown_distribution_rejected():
     with pytest.raises(ValueError):
         RandomSpec(seed=1, factors=(2,), distribution="cauchy")
+
+
+@pytest.mark.parametrize("factors", [(2,), (3,), (4,), (2, 3), (2, 2, 2)], ids=str)
+def test_convolution_sum_matches_reference(factors):
+    system = WeylSystem(make_group(factors))
+    f = PhaseFunction(system.group, gaussian(factors, seed=73).reshape(-1))
+    g = PhaseFunction(system.group, gaussian(factors, seed=74).reshape(-1))
+    expected = ref_twisted_convolution(factors, f.values, g.values)
+    assert max_abs(convolution_sum(system, f, g).values - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("factors", [(4, 8), (32,), (33,)], ids=str)
+def test_convolution_sum_is_composition(factors):
+    """F(S T) = F(S) *_m F(T) at the sizes where the kernel sum has no brute-force check."""
+    system = WeylSystem(make_group(factors))
+    s = gaussian(factors, seed=75)
+    t = gaussian(factors, seed=76)
+    out = convolution_sum(system, qft(system, s), qft(system, t)).values
+    assert max_abs(out - qft(system, s @ t).values) <= 1e-10
+
+
+def test_convolution_sum_group_mismatch():
+    system = WeylSystem(make_group([2]))
+    other = PhaseFunction(make_group([3]), np.zeros(9))
+    ok = PhaseFunction(system.group, np.zeros(4))
+    with pytest.raises(GroupMismatchError):
+        convolution_sum(system, ok, other)
 
 
 def test_suite_rejects_zero_trials():

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from specbarron import make_group, symmetric_residue
-from specbarron.phase_space import difference_table, point_arrays
+from specbarron.phase_space import difference_table, point_arrays, ravel_table
 
 
 @pytest.mark.parametrize(
@@ -122,3 +122,15 @@ def test_difference_table(factors):
     for i, lam in enumerate(pts):
         for j, mu in enumerate(pts):
             assert table[i, j] == g.index_of(g.sub(lam, mu))
+
+
+@pytest.mark.parametrize("factors", [[2, 3], [2, 2, 2]])
+def test_ravel_table_matches_point_arithmetic(factors):
+    g = make_group(factors)
+    diff = ravel_table(g.factors * 2, -1)
+    total = ravel_table(g.factors * 2, 1)
+    pts = list(g.points())
+    for i, lam in enumerate(pts):
+        for j, mu in enumerate(pts):
+            assert diff[i, j] == g.index_of(g.sub(lam, mu))
+            assert total[i, j] == g.index_of(g.add(lam, mu))

@@ -17,7 +17,7 @@ from specbarron import (
 )
 
 from .conftest import gaussian, max_abs
-from .reference import ref_qft
+from .reference import ref_qft, ref_twisted_convolution
 
 
 def test_transform_of_identity(system2):
@@ -149,13 +149,25 @@ def test_convolution_identity_element(system4):
 
 @pytest.mark.parametrize("factors", [[2], [3], [2, 3], [9]])
 def test_convolution_theorem(factors):
+    """twisted_convolution runs this identity backwards, so the kernel sum is checked too."""
     system = WeylSystem(make_group(factors))
     for k in range(5):
         s = gaussian(factors, seed=500 + k)
         t = gaussian(factors, seed=600 + k)
+        fs, ft = qft(system, s), qft(system, t)
         lhs = qft(system, s @ t).values
-        rhs = twisted_convolution(system, qft(system, s), qft(system, t)).values
+        rhs = twisted_convolution(system, fs, ft).values
         assert max_abs(lhs - rhs) <= 1e-10
+        assert max_abs(ref_twisted_convolution(factors, fs.values, ft.values) - lhs) <= 1e-10
+
+
+@pytest.mark.parametrize("factors", [(2,), (3,), (4,), (2, 3), (2, 2, 2)], ids=str)
+def test_convolution_matches_reference(factors):
+    system = WeylSystem(make_group(factors))
+    f = PhaseFunction(system.group, gaussian(factors, seed=71).reshape(-1))
+    g = PhaseFunction(system.group, gaussian(factors, seed=72).reshape(-1))
+    expected = ref_twisted_convolution(factors, f.values, g.values)
+    assert max_abs(twisted_convolution(system, f, g).values - expected) <= 1e-12
 
 
 def test_twist_kernel_argument_order_is_pinned():

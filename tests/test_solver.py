@@ -161,7 +161,6 @@ def test_equation_matrix_matches_reference(factors):
 
 
 def test_direct_above_dimension_32():
-    """Dimension 33 is above STACK_LIMIT, the largest cached Weyl stack."""
     system, gamma = _setup([33])
     v = gaussian([33], seed=95, target=0.5)
     t = gaussian([33], seed=96, target=1.0)
