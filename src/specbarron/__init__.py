@@ -5,7 +5,8 @@ unitaries, transforms operators to functions on phase space and back,
 evaluates Barron / Sobolev / Schatten norms, applies diagonal
 transformers (powers, Laplacian, resolvents), and solves the
 Schrodinger-type operator equation (I - Laplacian + V) S = T by certified
-Picard iteration with a dense direct solve as cross-check.
+Anderson-accelerated fixed-point iteration with a dense direct solve as
+cross-check.
 """
 
 from .errors import (

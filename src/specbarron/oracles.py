@@ -162,7 +162,7 @@ def _draw(stream: SplitMix64, n: int, distribution: str) -> np.ndarray:
 
 def b0_norm(system: WeylSystem, t: np.ndarray) -> float:
     """||T||_{B^0}; weight-free, so no gamma argument is needed."""
-    return system.group.haar_weight * fsum(np.abs(qft(system, t).values))
+    return system.group.haar_weight * fsum(np.abs(qft(system, t).values).tolist())
 
 
 def random_operator(spec: RandomSpec) -> np.ndarray:
@@ -299,7 +299,7 @@ def run_property_suite(
 
         coeffs = qft(system, t_op).values
         hs2 = schatten_norm(t_op, 2.0) ** 2
-        plancherel = abs(haar * fsum(np.abs(coeffs) ** 2) - hs2) / max(hs2, 1e-300)
+        plancherel = abs(haar * fsum((np.abs(coeffs) ** 2).tolist()) - hs2) / max(hs2, 1e-300)
         worst["plancherel"] = max(worst["plancherel"], plancherel)
 
         round_trip = np.max(np.abs(iqft(system, qft(system, t_op)) - t_op))
@@ -353,7 +353,7 @@ def run_property_suite(
         w2 = 1.0 + gamma.values ** 2
         for s in (0.0, 1.0):
             t_order = 2.0
-            const = fsum(haar * np.power(w2, s - t_order)) ** 0.5
+            const = fsum((haar * np.power(w2, s - t_order)).tolist()) ** 0.5
             bound = const * sobolev_norm(system, t_op, t_order, gamma)
             worst["sobolev-embedding"] = max(
                 worst["sobolev-embedding"],

@@ -1,17 +1,42 @@
 """Fixed-point and direct solvers for (I - Laplacian + V) S = T.
 
 With Q = I - Laplacian (symbol 1 + gamma^2), the equation rewrites as
-S = Q^{-1}(-V S + T).  When q = ||V||_{B^0} < 1 the right-hand side is a
-contraction with factor q in the B^0 norm, because Q^{-1} contracts B^0
-and ||V X||_{B^0} <= ||V||_{B^0} ||X||_{B^0}.  Picard iteration from
-S_0 = 0 then converges geometrically, and the iterate error is certified
-by the a-posteriori bound
+S = G(S) = Q^{-1}(-V S + T).  When q = ||V||_{B^0} < 1, G is a contraction
+with factor q in the B^0 norm, because Q^{-1} contracts B^0 and
+||V X||_{B^0} <= ||V||_{B^0} ||X||_{B^0}; its fixed point S_* is the unique
+solution, and it obeys the a-priori estimate
+||S_*||_{B^2} <= (1 - q)^{-1} ||T||_{B^0}.
 
-    ||S_* - S_k|| <= q / (1 - q) * ||S_k - S_{k-1}||            (B^0 norms)
+``solve_fixed_point`` iterates on the coefficients x = F(S).  One step is
 
-which is the stopping rule: iteration ends when that bound drops below
-the configured tolerance.  The converged solution obeys the a-priori
-estimate ||S_*||_{B^2} <= (1 - q)^{-1} ||T||_{B^0}.
+    s = iqft(x),   g = F(G(s)) = q_inv * (F(T) - qft(V s)),   f = g - x
+
+with the symbol q_inv = 1 / (1 + gamma^2) and F(T) computed once, so a
+step costs one ``iqft``, one product with V and one ``qft``.  Since
+||X||_{B^0} = (1/N) sum |F(X)|, every B^0 norm the loop needs is a sum
+over coefficients it already holds.
+
+Iterates are mixed by Anderson acceleration of depth 5 (Walker & Ni,
+SIAM J. Numer. Anal. 49(4), 2011): with dF and dG the last (up to) five
+differences of consecutive f and g, the next iterate is x = g - dG c,
+where c solves the Gram system dF^H dF c = dF^H f, the least-squares fit
+of f by dF.  If that solve fails or gives a non-finite c, the history is
+dropped and the step is x = g.  Plain Picard iteration is the case of an
+empty history, so there is one loop and no second code path.
+
+Stopping rule.  For any x, ||S_* - G(x)|| <= q ||S_* - x||
+<= q (||S_* - G(x)|| + ||G(x) - x||), hence
+
+    ||S_* - G(x)|| <= q / (1 - q) * ||G(x) - x||                (B^0 norms)
+
+whatever produced x, an Anderson mix included.  Iteration ends, and G(x)
+is returned, once that bound drops below the configured tolerance.  The
+sum in the bound is numpy's pairwise sum of nonnegative terms, whose
+relative error (about 3e-15 at N = 64) is below the rounding of the
+transforms that produce f; exact ``math.fsum`` would add about 0.2 ms to
+a step of about 0.5 ms there (x86_64, one BLAS thread).  The reported
+norms of the result (residual, B^2 norm, a-priori bound) are summed
+exactly, once, after the loop.
 
 ``solve_direct`` assembles the N^2 x N^2 matrix of the map
 S -> Q S + V S on flattened operators and solves it densely; it is the
@@ -32,17 +57,22 @@ of the O(N^4)-entry matrix dominates a direct solve.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from math import fsum
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NonFiniteInputError, NotAContractionError, SingularSystemError
 from .phase_space import Group, character_table, ravel_table
-from .qft import _check_operator
+from .qft import PhaseFunction, _check_operator, iqft, qft
 from .spaces import WeightFunction, barron_norm, operator_norm
-from .transformers import apply, q_power, resolvent
+from .transformers import apply, q_power
 from .weyl import WeylSystem
+
+#: Number of past differences an Anderson step mixes in.
+ANDERSON_DEPTH = 5
 
 
 @dataclass(frozen=True)
@@ -67,6 +97,15 @@ class IterationRecord(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
+    """Outcome of ``solve_fixed_point``.
+
+    ``aposteriori_bound`` is q/(1-q) ||G(x_k) - x_k||_{B^0} at the last
+    iterate x_k, where G(S) = Q^{-1}(T - V S).  It bounds the B^0 error
+    ||S_* - solution|| of the returned ``solution = G(x_k)`` whether x_k is
+    a Picard iterate or an Anderson mix; ``converged`` says it is at most
+    the tolerance.
+    """
+
     solution: np.ndarray
     iterations: int
     q: float
@@ -91,7 +130,7 @@ def solve_fixed_point(
     gamma: WeightFunction,
     config: SolveConfig = SolveConfig(),
 ) -> SolveResult:
-    """Picard iteration S_{k+1} = Q^{-1}(-V S_k + T).
+    """Anderson-accelerated iteration of G(S) = Q^{-1}(-V S + T) on F(S).
 
     Raises NotAContractionError when ||V||_{B^0} >= 1.  If the error bound
     does not reach the tolerance within max_iterations, the partial result
@@ -100,43 +139,65 @@ def solve_fixed_point(
     group = system.group
     v = _check_input(group, "v", v)
     t = _check_input(group, "t", t)
-    current = np.zeros((group.dim_h, group.dim_h), dtype=complex)
+    x = np.zeros(group.phase_card, dtype=complex)
     if config.initial_guess is not None:
-        current = _check_input(group, "initial_guess", config.initial_guess)
+        x = qft(system, _check_input(group, "initial_guess", config.initial_guess)).values
     q = contraction_factor(system, v, gamma)
     if q >= 1.0:
         raise NotAContractionError(
             f"potential not in open unit ball: ||V||_B0 = {q:.6g} >= 1"
         )
-    q_inv = resolvent(gamma, 1.0)
+    haar = group.haar_weight
+    symbol = 1.0 + gamma.values ** 2
+    q_inv = 1.0 / symbol
+    t_hat = qft(system, t).values
     shrink = q / (1.0 - q)
 
     history: list[IterationRecord] = []
+    d_f: deque[np.ndarray] = deque(maxlen=ANDERSON_DEPTH)
+    d_g: deque[np.ndarray] = deque(maxlen=ANDERSON_DEPTH)
+    f_prev = g_prev = None
     converged = False
-    iterations = 0
-    bound = np.inf
     for k in range(1, config.max_iterations + 1):
-        nxt = apply(system, q_inv, t - v @ current)
-        step = barron_norm(system, nxt - current, 0.0, gamma)
+        s = iqft(system, PhaseFunction(group, x))
+        g = q_inv * (t_hat - qft(system, v @ s).values)
+        f = g - x
+        step = haar * float(np.abs(f).sum())
         bound = shrink * step
-        iterations = k
         if config.record_history:
             history.append(IterationRecord(k, step, bound))
-        current = nxt
         if bound <= config.tolerance:
             converged = True
             break
+        if f_prev is not None:
+            d_f.append(f - f_prev)
+            d_g.append(g - g_prev)
+        f_prev, g_prev = f, g
+        x = g
+        if d_f:
+            df = np.array(d_f).T
+            try:
+                c = np.linalg.solve(df.conj().T @ df, df.conj().T @ f)
+            except np.linalg.LinAlgError:
+                c = None
+            if c is None or not np.isfinite(c).all():
+                d_f.clear()
+                d_g.clear()
+            else:
+                x = g - np.array(d_g).T @ c
 
-    residual = apply(system, q_power(gamma, 1.0), current) + v @ current - t
+    solution = iqft(system, PhaseFunction(group, g))
+    # F((Q + V) S - T) for the returned S, whose coefficients are g
+    r_hat = symbol * g + qft(system, v @ solution).values - t_hat
     return SolveResult(
-        solution=current,
-        iterations=iterations,
+        solution=solution,
+        iterations=k,
         q=q,
-        residual_b0=barron_norm(system, residual, 0.0, gamma),
-        residual_op=operator_norm(residual),
+        residual_b0=haar * fsum(np.abs(r_hat).tolist()),
+        residual_op=operator_norm(iqft(system, PhaseFunction(group, r_hat))),
         aposteriori_bound=bound,
-        apriori_bound_b2=barron_norm(system, t, 0.0, gamma) / (1.0 - q),
-        b2_norm_of_solution=barron_norm(system, current, 2.0, gamma),
+        apriori_bound_b2=haar * fsum(np.abs(t_hat).tolist()) / (1.0 - q),
+        b2_norm_of_solution=haar * fsum((symbol * np.abs(g)).tolist()),
         converged=converged,
         history=tuple(history) if config.record_history else None,
     )

@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import specbarron.solver as solver_module
 from specbarron import (
     DimensionMismatchError,
     NonFiniteInputError,
@@ -234,3 +236,74 @@ def test_direct_rejects_wrong_target_shape(system4):
     gamma = gamma_euclid(system4.group)
     with pytest.raises(DimensionMismatchError, match="^t: "):
         solve_direct(system4, np.zeros((4, 4)), np.eye(3), gamma)
+
+
+CERTIFIED_GROUPS = [(4,), (2, 3), (4, 4), (8,), (16,)]
+
+
+def _potentials(factors, q, seed):
+    """A random V with ||V||_B0 = q, and the near-identity 0.95 q I + P with ||P||_B0 = 0.05 q."""
+    n = math.prod(factors)
+    near_identity = 0.95 * q * np.eye(n) + gaussian(factors, seed=seed + 1, target=0.05 * q)
+    return {"random": gaussian(factors, seed=seed, target=q), "near-identity": near_identity}
+
+
+@pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
+@pytest.mark.parametrize("factors", CERTIFIED_GROUPS, ids=lambda f: "x".join(map(str, f)))
+def test_certificate_bounds_true_error_at_every_iterate(factors, q):
+    """Stopped after k steps, for every k up to convergence, the returned
+    solution is within aposteriori_bound of the direct solve in B0, though
+    the Anderson iterates are not monotone."""
+    system, gamma = _setup(factors)
+    t = gaussian(factors, seed=97, target=1.0)
+    for kind, v in _potentials(factors, q, seed=98).items():
+        exact = solve_direct(system, v, t, gamma)
+        for k in range(1, 101):
+            result = solve_fixed_point(system, v, t, gamma, SolveConfig(max_iterations=k))
+            error = barron_norm(system, result.solution - exact, 0.0, gamma)
+            assert error <= result.aposteriori_bound, f"{kind} potential, {k} steps"
+            if result.converged:
+                break
+        assert result.converged, f"{kind} potential not converged in 100 steps"
+
+
+def test_anderson_accelerates_near_identity_potential():
+    """Plain Picard iteration takes 338 steps on this problem (q = 0.99)."""
+    factors = (16,)
+    system, gamma = _setup(factors)
+    v = _potentials(factors, 0.99, seed=110)["near-identity"]
+    t = gaussian(factors, seed=112, target=1.0)
+    result = solve_fixed_point(system, v, t, gamma)
+    assert result.q == pytest.approx(0.99, rel=1e-3)
+    assert result.converged
+    assert result.iterations <= 25
+    direct = solve_direct(system, v, t, gamma)
+    assert barron_norm(system, result.solution - direct, 0.0, gamma) <= result.aposteriori_bound
+
+
+@pytest.mark.parametrize("with_guess", [False, True], ids=["zero-guess", "initial-guess"])
+def test_transform_budget(monkeypatch, with_guess):
+    """Two transforms per step and at most five outside the loop; no
+    transformer application or norm evaluation in the loop."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("qft", "iqft", "apply", "barron_norm", "q_power"):
+        monkeypatch.setattr(solver_module, name, counted(name, getattr(solver_module, name)))
+    factors = (16,)
+    system, gamma = _setup(factors)
+    v = _potentials(factors, 0.9, seed=113)["near-identity"]
+    t = gaussian(factors, seed=115, target=1.0)
+    guess = gaussian(factors, seed=116) if with_guess else None
+    result = solve_fixed_point(system, v, t, gamma, SolveConfig(initial_guess=guess))
+    assert result.converged
+    assert result.iterations > 3
+    assert calls["qft"] + calls["iqft"] <= 2 * result.iterations + 5
+    assert calls["barron_norm"] == 1  # q = ||V||_B0, once per solve
+    assert calls["apply"] == 0
+    assert calls["q_power"] == 0

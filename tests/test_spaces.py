@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 
 from specbarron import (
+    PhaseFunction,
     WeightFunction,
     WeylSystem,
     barron_norm,
     gamma_euclid,
+    iqft,
     make_group,
     operator_norm,
     peetre_check,
+    qft,
     schatten_norm,
     sobolev_norm,
 )
+from specbarron.spaces import SINGULAR_VALUE_CUTOFF
 
 from .conftest import gaussian
 from .reference import ref_barron, ref_gamma_euclid
@@ -130,6 +134,32 @@ def test_schatten_monotone_in_p():
 def test_schatten_ignores_negligible_singular_values():
     t = np.diag([1.0, 1e-15])
     assert schatten_norm(t, 1.0) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("factors", [(2, 3), (4, 8), (64,)], ids=lambda f: "x".join(map(str, f)))
+def test_norm_sums_equal_fsum_over_numpy_terms(factors):
+    """The norms sum their terms as a list; that must give the bits of fsum over the array."""
+    system, gamma = _setup(factors)
+    group = system.group
+    decades = np.logspace(0.0, -10.0, group.phase_card)
+    phases = np.exp(2j * np.pi * np.arange(group.phase_card) / 7)
+    operators = [
+        gaussian(factors, seed=31),
+        iqft(system, PhaseFunction(group, decades * phases)),  # coefficients over 10 decades
+        np.diag(np.logspace(0.0, -10.0, group.dim_h)),  # singular values over 10 decades
+    ]
+    g = gamma.values
+    for t in operators:
+        coeffs = np.abs(qft(system, t).values)
+        for s in S_GRID:
+            terms = group.haar_weight * np.power(1.0 + g * g, 0.5 * s) * coeffs
+            assert barron_norm(system, t, s, gamma) == math.fsum(terms)
+            terms = group.haar_weight * np.power(1.0 + g * g, s) * coeffs * coeffs
+            assert sobolev_norm(system, t, s, gamma) == math.fsum(terms) ** 0.5
+        sv = np.linalg.svd(np.asarray(t, dtype=complex), compute_uv=False)
+        kept = sv[sv > SINGULAR_VALUE_CUTOFF * sv[0]]
+        for p in (1.0, 2.0, 3.5):
+            assert schatten_norm(t, p) == math.fsum(kept ** p) ** (1.0 / p)
 
 
 def test_norm_axioms(system4):
